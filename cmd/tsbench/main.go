@@ -338,9 +338,9 @@ func runCell(cc cellConfig) error {
 	fmt.Printf("  compaction: %d passes, %d bytes read (largest pass %d), %d partitions active, %d dropped\n",
 		res.CompactionPasses, res.CompactionBytesRead, res.MaxCompactionPassBytes,
 		res.PartitionsActive, res.PartitionsDropped)
-	if res.PipelinedConns+res.LegacyConns > 0 {
-		fmt.Printf("  front end: %d pipelined conns, %d legacy conns; queue cap %d (%d workers), %d enqueued, %d rejected\n",
-			res.PipelinedConns, res.LegacyConns, res.IngestQueueCap, res.IngestWorkers,
+	if res.PipelinedConns > 0 {
+		fmt.Printf("  front end: %d pipelined conns; queue cap %d (%d workers), %d enqueued, %d rejected\n",
+			res.PipelinedConns, res.IngestQueueCap, res.IngestWorkers,
 			res.IngestEnqueued, res.IngestRejected)
 	}
 	if len(res.PerShard) > 0 {

@@ -241,14 +241,13 @@ type Result struct {
 	AdaptiveIfaceRoutes int64
 	AdaptiveMinL        int64
 	AdaptiveMaxL        int64
-	// Ingest front-end counters (bounded dispatch queue, connection
-	// modes), non-zero only when the target is an rpc server.
+	// Ingest front-end counters (bounded dispatch queue, accepted
+	// connections), non-zero only when the target is an rpc server.
 	IngestQueueCap int
 	IngestWorkers  int
 	IngestEnqueued int64
 	IngestRejected int64
 	PipelinedConns int64
-	LegacyConns    int64
 	// PerShard holds the per-shard stats breakdown when the target is
 	// sharded (shard router in-process, or a sharded tsdbd over rpc);
 	// nil against an unsharded target.
@@ -494,7 +493,6 @@ func Run(target Target, cfg Config) (Result, error) {
 	res.IngestEnqueued = st.IngestEnqueued
 	res.IngestRejected = st.IngestRejected
 	res.PipelinedConns = st.PipelinedConns
-	res.LegacyConns = st.LegacyConns
 	if ss, ok := target.(ShardStatser); ok {
 		per, err := ss.ShardStats()
 		if err != nil {

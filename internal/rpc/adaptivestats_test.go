@@ -7,10 +7,9 @@ import (
 	"repro/internal/shard"
 )
 
-// TestAdaptiveStatsOverRPC checks the version-8 adaptive-sort
-// extension round-trips: a sharded backend running with AdaptiveSort
-// on reports the planner counters through StatsFull, aggregate and
-// per shard.
+// TestAdaptiveStatsOverRPC checks the adaptive-sort counters
+// round-trip: a sharded backend running with AdaptiveSort on reports
+// the planner counters through StatsFull, aggregate and per shard.
 func TestAdaptiveStatsOverRPC(t *testing.T) {
 	r, err := shard.Open(shard.Config{
 		Config: engine.Config{
@@ -93,63 +92,5 @@ func TestAdaptiveStatsOverRPC(t *testing.T) {
 	}
 	if sum != agg.SketchSeededFlushes {
 		t.Fatalf("per-shard seeded flushes sum %d != aggregate %d", sum, agg.SketchSeededFlushes)
-	}
-}
-
-// TestStatsFullToleratesV7Payload truncates the adaptive-sort
-// extension off a stats payload, as a version-7 server would send it:
-// decoding must succeed with the adaptive counters left zero, and a
-// full v8 payload must round-trip them exactly.
-func TestStatsFullToleratesV7Payload(t *testing.T) {
-	var st engine.Stats
-	st.FlushCount = 3
-	st.AdaptiveSortEnabled = true
-	st.SketchSeededFlushes = 11
-	st.SearchItersSaved = 42
-	st.AdaptiveMinL = 8
-	st.AdaptiveMaxL = 4096
-
-	v7 := appendStats(nil, st)
-	v7 = appendDurability(v7, st)
-	v7 = appendPruning(v7, st)
-	v7 = appendReadAmp(v7, st)
-	v7 = appendIndexStats(v7, st)
-	v7 = appendIngestStats(v7, st)
-	// No appendAdaptiveStats: this is the version-7 shape (shard
-	// count elided — the decoders below read blocks directly).
-
-	p := &payloadReader{b: v7}
-	got, err := p.stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dec := range []func(*engine.Stats) error{
-		p.durability, p.pruning, p.readAmp, p.indexStats, p.ingestStats,
-	} {
-		if err := dec(&got); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p.remaining() != 0 {
-		t.Fatalf("v7 payload has %d trailing bytes", p.remaining())
-	}
-	if got.AdaptiveSortEnabled || got.SketchSeededFlushes != 0 || got.SearchItersSaved != 0 {
-		t.Fatalf("adaptive counters must not survive a v7 payload: %+v", got)
-	}
-
-	v8 := appendAdaptiveStats(v7, st)
-	p = &payloadReader{b: v8}
-	got, _ = p.stats()
-	p.durability(&got)
-	p.pruning(&got)
-	p.readAmp(&got)
-	p.indexStats(&got)
-	p.ingestStats(&got)
-	if err := p.adaptiveStats(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !got.AdaptiveSortEnabled || got.SketchSeededFlushes != 11 ||
-		got.SearchItersSaved != 42 || got.AdaptiveMinL != 8 || got.AdaptiveMaxL != 4096 {
-		t.Fatalf("v8 decode lost adaptive counters: %+v", got)
 	}
 }

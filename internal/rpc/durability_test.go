@@ -11,9 +11,9 @@ import (
 )
 
 // TestDurabilityStatsOverRPC runs a WALSync=always engine behind the
-// server and checks the version-3 durability extension round-trips:
-// commits and syncs reach the client non-zero, through both the
-// aggregate and (via a sharded backend) the per-shard breakdown.
+// server and checks the durability counters round-trip: commits and
+// syncs reach the client non-zero, through both the aggregate and (via
+// a sharded backend) the per-shard breakdown.
 func TestDurabilityStatsOverRPC(t *testing.T) {
 	r, err := shard.Open(shard.Config{
 		Config: engine.Config{
@@ -168,17 +168,15 @@ func TestReadTimeoutDropsIdleConn(t *testing.T) {
 	}
 	defer conn.Close()
 	// Handshake, then go idle past the read deadline.
-	payload := append([]byte(nil), protocolMagic[:]...)
-	payload = append(payload, ProtocolVersion)
-	if err := writeFrame(conn, OpHello, payload); err != nil {
+	if err := writeFrame(conn, OpHello, helloPayload(ProtocolVersion)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := readFrame(conn); err != nil {
+	if _, _, err := readFrame(conn, MaxFrame); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	conn.SetReadDeadline(deadline)
-	if _, _, err := readFrame(conn); err == nil {
+	if _, _, err := readFrame(conn, MaxFrame); err == nil {
 		t.Fatal("idle connection not dropped by server read timeout")
 	} else if strings.Contains(err.Error(), "i/o timeout") {
 		t.Fatalf("server kept idle connection past its deadline: %v", err)

@@ -1,10 +1,13 @@
 package rpc
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/query"
 )
 
 // TestDispatchSurvivesRandomPayloads throws random bytes at every
@@ -55,4 +58,62 @@ func TestDispatchSurvivesTruncatedValidPayloads(t *testing.T) {
 			continue
 		}
 	}
+}
+
+// nopBackend answers every op without storing anything, so
+// FuzzDispatch sees only what dispatch itself allocates.
+type nopBackend struct{}
+
+func (nopBackend) InsertBatch(string, []int64, []float64) error    { return nil }
+func (nopBackend) Query(string, int64, int64) ([]engine.TV, error) { return nil, nil }
+func (nopBackend) LatestTime(string) (int64, bool)                 { return 0, false }
+func (nopBackend) Stats() engine.Stats                             { return engine.Stats{} }
+func (nopBackend) Flush()                                          {}
+func (nopBackend) WaitFlushes()                                    {}
+
+// FuzzDispatch feeds arbitrary (opcode, payload) pairs to the server's
+// op decoder. It must answer with a reply or an error, never panic,
+// and what it allocates must stay proportional to the payload: a count
+// claiming more records than the frame holds has to be refused
+// ("exceeds frame") before the slices it would size are made.
+func FuzzDispatch(f *testing.F) {
+	insert, err := encodeInsert("d0.s0", []int64{3, 1, 2}, []float64{1, 2, 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	rng := binary.AppendVarint(binary.AppendVarint(appendString(nil, "d0.s0"), 0), 100)
+	agg := appendString(nil, "d0.s0")
+	for _, v := range []int64{0, 100, 10, int64(query.Avg)} {
+		agg = binary.AppendVarint(agg, v)
+	}
+	hello := helloPayload(ProtocolVersion)
+	hugeCount := binary.AppendUvarint(appendString(nil, "s"), 1<<40)
+	for _, seed := range []struct {
+		op      byte
+		payload []byte
+	}{
+		{OpInsert, insert},
+		{OpInsert, hugeCount},
+		{OpQuery, rng},
+		{OpLatest, appendString(nil, "d0.s0")},
+		{OpStats, nil},
+		{OpFlush, nil},
+		{OpWait, nil},
+		{OpAgg, agg},
+		{OpHello, hello},
+	} {
+		f.Add(seed.op, seed.payload)
+	}
+	srv := NewServer(nopBackend{})
+	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _ = srv.dispatch(op, payload)
+		runtime.ReadMemStats(&after)
+		// An insert decodes at most len/9+1 records into 16 bytes each
+		// plus the sensor name; 64 KiB covers the fixed-size replies.
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<10+4*uint64(len(payload)) {
+			t.Fatalf("op %d with a %d-byte payload allocated %d bytes", op, len(payload), grown)
+		}
+	})
 }

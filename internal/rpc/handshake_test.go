@@ -2,16 +2,16 @@ package rpc
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
-	"repro/internal/query"
 	"repro/internal/shard"
 )
 
@@ -35,7 +35,7 @@ func rawCall(t *testing.T, br *bufio.Reader, bw *bufio.Writer, op byte, payload 
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	status, resp, err := readFrame(br)
+	status, resp, err := readFrame(br, MaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +43,8 @@ func rawCall(t *testing.T, br *bufio.Reader, bw *bufio.Writer, op byte, payload 
 }
 
 // TestHandshakeRequiredFirst: a client that opens with any opcode other
-// than OpHello (a pre-version-2 client) gets a descriptive error on its
-// first exchange, and the server drops the connection.
+// than OpHello gets a descriptive error on its first exchange, and the
+// server drops the connection.
 func TestHandshakeRequiredFirst(t *testing.T) {
 	_, addr := startServer(t)
 	_, br, bw := rawDial(t, addr)
@@ -60,7 +60,7 @@ func TestHandshakeRequiredFirst(t *testing.T) {
 	if err := writeFrame(bw, OpStats, nil); err == nil {
 		bw.Flush()
 	}
-	if _, _, err := readFrame(br); !errors.Is(err, io.EOF) && err == nil {
+	if _, _, err := readFrame(br, MaxFrame); !errors.Is(err, io.EOF) && err == nil {
 		t.Fatal("connection survived a failed handshake")
 	}
 }
@@ -83,7 +83,7 @@ func TestHandshakeBadMagic(t *testing.T) {
 // version 0 are refused.
 func TestHandshakeRejectsShortAndZero(t *testing.T) {
 	_, addr := startServer(t)
-	for _, payload := range [][]byte{nil, protocolMagic[:3], append(append([]byte(nil), protocolMagic[:]...), 0)} {
+	for _, payload := range [][]byte{nil, protocolMagic[:3], helloPayload(0)} {
 		_, br, bw := rawDial(t, addr)
 		if status, _ := rawCall(t, br, bw, OpHello, payload); status == 0 {
 			t.Fatalf("hello payload %v accepted", payload)
@@ -92,16 +92,70 @@ func TestHandshakeRejectsShortAndZero(t *testing.T) {
 }
 
 // TestHandshakeVersionReported: a well-formed hello succeeds and the
-// Dial-level client records the server's announced version.
+// reply announces the server's magic and version.
 func TestHandshakeVersionReported(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := Dial(addr)
+	_, br, bw := rawDial(t, addr)
+	status, resp := rawCall(t, br, bw, OpHello, helloPayload(ProtocolVersion))
+	if status != StatusOK {
+		t.Fatalf("hello refused: %s", resp)
+	}
+	if len(resp) != 5 || string(resp[:4]) != string(protocolMagic[:]) || resp[4] != ProtocolVersion {
+		t.Fatalf("hello reply = %q, want magic + version %d", resp, ProtocolVersion)
+	}
+}
+
+// TestHandshakeVersionMismatchRefused: the handshake is exact-match. A
+// hello one version above or below the server's is refused with both
+// versions named, and the server drops the connection.
+func TestHandshakeVersionMismatchRefused(t *testing.T) {
+	_, addr := startServer(t)
+	for _, v := range []byte{ProtocolVersion - 1, ProtocolVersion + 1} {
+		conn, br, bw := rawDial(t, addr)
+		status, resp := rawCall(t, br, bw, OpHello, helloPayload(v))
+		if status != StatusError {
+			t.Fatalf("hello with version %d: status %d, want refusal", v, status)
+		}
+		want := fmt.Sprintf("client speaks %d, server speaks %d", v, ProtocolVersion)
+		if !strings.Contains(string(resp), want) {
+			t.Fatalf("refusal %q does not name both versions (%q)", resp, want)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := br.ReadByte(); !errors.Is(err, io.EOF) {
+			t.Fatalf("connection survived a version mismatch: %v", err)
+		}
+	}
+}
+
+// TestDialRefusesMismatchedServer: a server that announces another
+// version in its hello reply fails Dial with both versions named.
+func TestDialRefusesMismatchedServer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if v := c.ServerVersion(); v != ProtocolVersion {
-		t.Fatalf("server version = %d, want %d", v, ProtocolVersion)
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			br := bufio.NewReader(conn)
+			if _, _, err := readFrame(br, MaxFrame); err == nil {
+				writeFrame(conn, StatusOK, helloPayload(ProtocolVersion+1))
+			}
+			conn.Close()
+		}
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err == nil {
+		c.Close()
+		t.Fatal("Dial accepted a server of another protocol version")
+	}
+	want := fmt.Sprintf("client speaks %d, server speaks %d", ProtocolVersion, ProtocolVersion+1)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("Dial error %q does not name both versions (%q)", err, want)
 	}
 }
 
@@ -180,316 +234,135 @@ func TestUnshardedStatsEmptyBreakdown(t *testing.T) {
 	}
 }
 
-// TestLegacyStatsShapeParsed: a version-1 server's OpStats payload ends
-// after the aggregate block (no shard extension). The client must parse
-// it as aggregate-only rather than erroring on the missing extension.
-// Simulated with a hand-rolled server speaking the old shape.
-func TestLegacyStatsShapeParsed(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	want := engine.Stats{FlushCount: 7, SeqPoints: 123, UnseqPoints: 45, Files: 2, FlushWorkers: 1}
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		br := bufio.NewReader(conn)
-		bw := bufio.NewWriter(conn)
-		for {
-			op, _, err := readFrame(br)
-			if err != nil {
-				return
-			}
-			var resp []byte
-			switch op {
-			case OpHello:
-				// Answer hello normally so Dial succeeds; only the stats
-				// payload is legacy-shaped.
-				resp = append(append([]byte(nil), protocolMagic[:]...), 1)
-			case OpStats:
-				resp = appendStats(nil, want) // v1: no shard extension
-			}
-			if writeFrame(bw, 0, resp) != nil || bw.Flush() != nil {
-				return
-			}
-		}
-	}()
-
-	c, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if v := c.ServerVersion(); v != 1 {
-		t.Fatalf("server version = %d, want 1", v)
-	}
-	st, per, err := c.StatsFull()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if per != nil {
-		t.Fatalf("legacy payload produced a shard breakdown: %+v", per)
-	}
-	if st != want {
-		t.Fatalf("legacy stats = %+v, want %+v", st, want)
-	}
+// fixedStatsEngine is a bare engine whose Stats snapshot is fixed, so
+// every field's trip through OpStats can be checked exactly.
+type fixedStatsEngine struct {
+	*engine.Engine
+	st engine.Stats
 }
 
-// legacyRawClient speaks the version <= 6 wire format by hand: an
-// untagged hello announcing the given version, then untagged
-// request/response exchanges. It stands in for an old client binary
-// when testing a new server.
-type legacyRawClient struct {
-	t  *testing.T
-	br *bufio.Reader
-	bw *bufio.Writer
+func (b fixedStatsEngine) Stats() engine.Stats { return b.st }
+
+// fixedStatsRouter is the sharded counterpart: a router whose merged
+// and per-shard snapshots are fixed.
+type fixedStatsRouter struct {
+	*shard.Router
+	total engine.Stats
+	per   []engine.Stats
 }
 
-func dialLegacyRaw(t *testing.T, addr string, version byte) (*legacyRawClient, byte) {
+func (b fixedStatsRouter) StatsAll() (engine.Stats, []engine.Stats) { return b.total, b.per }
+
+// distinctStats sets every engine.Stats field to a non-zero value that
+// differs from every other field's and, through seed, from other
+// snapshots'. Integers sit above 2^53, where a float64 detour would
+// round them; floats carry a fraction with no short decimal form.
+func distinctStats(t *testing.T, seed int) engine.Stats {
 	t.Helper()
-	_, br, bw := rawDial(t, addr)
-	lc := &legacyRawClient{t: t, br: br, bw: bw}
-	hello := append(append([]byte(nil), protocolMagic[:]...), version)
-	status, resp := rawCall(t, br, bw, OpHello, hello)
-	if status != StatusOK {
-		t.Fatalf("legacy hello refused: %s", resp)
-	}
-	if len(resp) < 5 || string(resp[:4]) != string(protocolMagic[:]) {
-		t.Fatalf("malformed hello reply: %v", resp)
-	}
-	return lc, resp[4]
-}
-
-func (lc *legacyRawClient) call(op byte, payload []byte) (byte, []byte) {
-	lc.t.Helper()
-	return rawCall(lc.t, lc.br, lc.bw, op, payload)
-}
-
-// TestV6ClientAgainstV7Server drives every op type through a
-// hand-rolled version-6 client against the current server: the server
-// must degrade that connection to untagged one-in-flight framing, so
-// deployed old binaries keep working against an upgraded server.
-func TestV6ClientAgainstV7Server(t *testing.T) {
-	_, addr := startServer(t)
-	lc, serverVersion := dialLegacyRaw(t, addr, 6)
-	if serverVersion != ProtocolVersion {
-		t.Fatalf("server announced version %d, want %d", serverVersion, ProtocolVersion)
-	}
-
-	// OpInsert
-	ins := appendString(nil, "s")
-	ins = binary.AppendUvarint(ins, 3)
-	for i, tt := range []int64{10, 20, 30} {
-		ins = binary.AppendVarint(ins, tt)
-		ins = appendFloat64(ins, float64(i))
-	}
-	if status, resp := lc.call(OpInsert, ins); status != StatusOK {
-		t.Fatalf("legacy insert failed: %s", resp)
-	}
-	// OpFlush, OpWait
-	if status, resp := lc.call(OpFlush, nil); status != StatusOK {
-		t.Fatalf("legacy flush failed: %s", resp)
-	}
-	if status, resp := lc.call(OpWait, nil); status != StatusOK {
-		t.Fatalf("legacy wait failed: %s", resp)
-	}
-	// OpQuery
-	qp := appendString(nil, "s")
-	qp = binary.AppendVarint(qp, 0)
-	qp = binary.AppendVarint(qp, 100)
-	status, resp := lc.call(OpQuery, qp)
-	if status != StatusOK {
-		t.Fatalf("legacy query failed: %s", resp)
-	}
-	p := &payloadReader{b: resp}
-	if n, err := p.uvarint(); err != nil || n != 3 {
-		t.Fatalf("legacy query returned %d points (%v), want 3", n, err)
-	}
-	// OpLatest
-	status, resp = lc.call(OpLatest, appendString(nil, "s"))
-	if status != StatusOK {
-		t.Fatalf("legacy latest failed: %s", resp)
-	}
-	if len(resp) < 1 || resp[0] != 1 {
-		t.Fatalf("legacy latest found nothing: %v", resp)
-	}
-	// OpAgg: avg over [0, 40) window 40 -> one window, value 1.
-	ap := appendString(nil, "s")
-	for _, v := range []int64{0, 40, 40, int64(query.Avg)} {
-		ap = binary.AppendVarint(ap, v)
-	}
-	status, resp = lc.call(OpAgg, ap)
-	if status != StatusOK {
-		t.Fatalf("legacy agg failed: %s", resp)
-	}
-	p = &payloadReader{b: resp}
-	if n, err := p.uvarint(); err != nil || n != 1 {
-		t.Fatalf("legacy agg returned %d windows (%v), want 1", n, err)
-	}
-	// OpStats: the v7 payload shape decodes with the current reader and
-	// carries the ingest extension even over a legacy connection.
-	status, resp = lc.call(OpStats, nil)
-	if status != StatusOK {
-		t.Fatalf("legacy stats failed: %s", resp)
-	}
-	p = &payloadReader{b: resp}
-	st, err := p.stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SeqPoints+st.UnseqPoints != 3 {
-		t.Fatalf("stats points = %d, want 3", st.SeqPoints+st.UnseqPoints)
-	}
-}
-
-// v6ServerOver serves the version <= 6 wire format over the current
-// dispatch logic: untagged frames, announced version 6. It stands in
-// for an old server binary when testing the new pipelined client.
-func v6ServerOver(t *testing.T, backend Backend) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	srv := NewServer(backend)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				bw := bufio.NewWriter(conn)
-				for {
-					op, payload, err := readFrame(br)
-					if err != nil {
-						return
-					}
-					var resp []byte
-					var derr error
-					if op == OpHello {
-						resp = append(append([]byte(nil), protocolMagic[:]...), 6)
-					} else {
-						resp, derr = srv.dispatch(op, payload)
-					}
-					status := StatusOK
-					if derr != nil {
-						status, resp = StatusError, []byte(derr.Error())
-					}
-					if writeFrame(bw, status, resp) != nil || bw.Flush() != nil {
-						return
-					}
-				}
-			}()
+	var st engine.Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		k := int64(seed*1000 + i + 1)
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1<<53 + k)
+		case reflect.Float64:
+			f.SetFloat(float64(k) + 1.0/3)
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("engine.Stats.%s has kind %s: give it a distinct value here",
+				v.Type().Field(i).Name, f.Kind())
 		}
-	}()
-	return ln.Addr().String()
+	}
+	return st
 }
 
-// TestV7ClientAgainstV6Server drives every client method against a
-// version-6 server: the client must fall back to one-in-flight
-// untagged exchanges, including for concurrent callers and for
-// InsertBatchAsync (which degrades to a synchronous insert).
-func TestV7ClientAgainstV6Server(t *testing.T) {
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), MemTableSize: 1000, SyncFlush: true})
+// statsDiff names the fields where got and want differ.
+func statsDiff(got, want engine.Stats) string {
+	var b strings.Builder
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < g.NumField(); i++ {
+		if g.Field(i).Interface() != w.Field(i).Interface() {
+			fmt.Fprintf(&b, " %s=%v (want %v)", g.Type().Field(i).Name, g.Field(i), w.Field(i))
+		}
+	}
+	return b.String()
+}
+
+// TestStatsRoundTrip sends fully populated stats snapshots through
+// OpStats, from a 4-shard router and from a bare engine, and requires
+// every field of the aggregate and of each shard back exactly. The
+// aggregate's front-end fields must carry the server's queue and
+// connection counters instead. The fields are enumerated by
+// reflection, so a new Stats field is covered without editing this
+// test.
+func TestStatsRoundTrip(t *testing.T) {
+	r, err := shard.Open(shard.Config{ShardCount: 4, Config: engine.Config{Dir: t.TempDir(), SyncFlush: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	e, err := engine.Open(engine.Config{Dir: t.TempDir(), SyncFlush: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
-	addr := v6ServerOver(t, e)
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	per := make([]engine.Stats, 4)
+	for i := range per {
+		per[i] = distinctStats(t, i+1)
 	}
-	defer c.Close()
-	if v := c.ServerVersion(); v != 6 {
-		t.Fatalf("server version = %d, want 6", v)
-	}
-	if err := c.InsertBatch("s", []int64{10, 20, 30}, []float64{0, 1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if p := c.InsertBatchAsync("s", []int64{40}, []float64{3}); p.Wait() != nil {
-		t.Fatalf("async insert on legacy conn: %v", p.Wait())
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Settle(); err != nil {
-		t.Fatal(err)
-	}
-	pts, err := c.Query("s", 0, 100)
-	if err != nil || len(pts) != 4 {
-		t.Fatalf("query = %d points, %v; want 4", len(pts), err)
-	}
-	if n, err := c.QueryCount("s", 0, 100); err != nil || n != 4 {
-		t.Fatalf("query count = %d, %v", n, err)
-	}
-	lt, ok, err := c.Latest("s")
-	if err != nil || !ok || lt != 40 {
-		t.Fatalf("latest = %d/%v/%v", lt, ok, err)
-	}
-	ws, err := c.Aggregate("s", 0, 50, 50, query.Avg)
-	if err != nil || len(ws) != 1 || ws[0].Count != 4 {
-		t.Fatalf("aggregate = %+v, %v", ws, err)
-	}
-	st, _, err := c.StatsFull()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SeqPoints+st.UnseqPoints != 4 {
-		t.Fatalf("stats points = %d, want 4", st.SeqPoints+st.UnseqPoints)
-	}
+	router := fixedStatsRouter{Router: r, total: distinctStats(t, 0), per: per}
+	bare := fixedStatsEngine{Engine: e, st: distinctStats(t, 9)}
 
-	// Concurrent idempotent calls serialize on the legacy exchange
-	// instead of corrupting frames.
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := c.Query("s", 0, 100); err != nil {
-				errs <- err
+	for _, tc := range []struct {
+		name    string
+		backend Backend
+		total   engine.Stats
+		per     []engine.Stats
+	}{
+		{"router", router, router.total, router.per},
+		{"engine", bare, bare.st, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewServer(tc.backend)
+			srv.SetQueueBounds(7, 3)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
+			t.Cleanup(func() { srv.Close() })
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
 
-// TestStatsRoundTrip: appendStats/stats are inverses for a fully
-// populated Stats value — a new field added to one side but not the
-// other shows up here.
-func TestStatsRoundTrip(t *testing.T) {
-	want := engine.Stats{
-		FlushCount: 1, AvgFlushMillis: 2.5, AvgSortMillis: 0.5,
-		SeqPoints: 3, UnseqPoints: 4, Files: 5, MemTablePoints: 6,
-		FlushWorkers: 7, SortsSkipped: 8, LockWaits: 9, QueriesBlocked: 10,
-		AvgEncodeMillis: 1.25, AvgWriteMillis: 0.75, AvgLockWaitMicros: 11.5,
-		MaxLockWaitMicros: 12, P99LockWaitMicros: 13,
-		FlatSorts: 14, InterfaceSorts: 15, FlatSortMillis: 16.5,
-		InterfaceSortMillis: 17.5, SortParallelism: 18, FlatSortThreshold: 19,
-	}
-	p := &payloadReader{b: appendStats(nil, want)}
-	got, err := p.stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("round trip: got %+v, want %+v", got, want)
-	}
-	if p.remaining() != 0 {
-		t.Fatalf("%d trailing bytes after stats block", p.remaining())
+			got, gotPer, err := c.StatsFull()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.total
+			qs := srv.queue.Stats()
+			want.IngestQueueCap, want.IngestQueueDepth, want.IngestWorkers = qs.Capacity, qs.Depth, qs.Workers
+			want.IngestEnqueued, want.IngestRejected = qs.Enqueued, qs.Rejected
+			want.PipelinedConns = srv.pipelinedConns.Load()
+			if want.IngestQueueCap != 7 || want.IngestWorkers != 3 || want.PipelinedConns != 1 {
+				t.Fatalf("server front end: cap %d, workers %d, conns %d; want 7, 3, 1",
+					want.IngestQueueCap, want.IngestWorkers, want.PipelinedConns)
+			}
+			if got != want {
+				t.Fatalf("aggregate differs:%s", statsDiff(got, want))
+			}
+			if len(gotPer) != len(tc.per) {
+				t.Fatalf("per-shard snapshots = %d, want %d", len(gotPer), len(tc.per))
+			}
+			for i := range tc.per {
+				if gotPer[i] != tc.per[i] {
+					t.Fatalf("shard %d differs:%s", i, statsDiff(gotPer[i], tc.per[i]))
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"repro/internal/engine"
@@ -9,11 +8,10 @@ import (
 	"repro/internal/shard"
 )
 
-// TestIndexStatsOverRPC checks the version-6 label-index extension
-// round-trips: a sharded backend with registered series and a selector
-// query behind it reports series/postings/fan-out counters through
-// StatsFull, with the per-shard blocks zero (the index is
-// store-level).
+// TestIndexStatsOverRPC checks the label-index counters round-trip: a
+// sharded backend with registered series and a selector query behind
+// it reports series/postings/fan-out counters through StatsFull, with
+// the per-shard snapshots zero (the index is store-level).
 func TestIndexStatsOverRPC(t *testing.T) {
 	r, err := shard.Open(shard.Config{
 		Config:     engine.Config{Dir: t.TempDir(), MemTableSize: 128},
@@ -71,58 +69,5 @@ func TestIndexStatsOverRPC(t *testing.T) {
 		if s.SeriesCount != 0 || s.SelectorQueries != 0 {
 			t.Fatalf("shard %d carries store-level index counters: %+v", i, s)
 		}
-	}
-}
-
-// TestStatsFullToleratesV5Payload truncates the label-index extension
-// off a stats payload, as a version-5 server would send it: decoding
-// must succeed with the index counters left zero.
-func TestStatsFullToleratesV5Payload(t *testing.T) {
-	var st engine.Stats
-	st.FlushCount = 7
-	st.SeriesCount = 99 // must NOT survive a truncated payload
-
-	payload := appendStats(nil, st)
-	payload = binary.AppendUvarint(payload, 0)
-	payload = appendDurability(payload, st)
-	payload = appendPruning(payload, st)
-	payload = appendReadAmp(payload, st)
-	// No appendIndexStats: this is the version-5 shape.
-
-	p := &payloadReader{b: payload}
-	got, err := p.stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.uvarint(); err != nil {
-		t.Fatal(err)
-	}
-	for _, dec := range []func(*engine.Stats) error{
-		p.durability, p.pruning, p.readAmp,
-	} {
-		if err := dec(&got); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p.remaining() != 0 {
-		t.Fatalf("v5 payload has %d trailing bytes", p.remaining())
-	}
-	if got.FlushCount != 7 || got.SeriesCount != 0 {
-		t.Fatalf("v5 decode: %+v", got)
-	}
-
-	// And a full v6 payload round-trips the index counters exactly.
-	payload = appendIndexStats(payload, st)
-	p = &payloadReader{b: payload}
-	got, _ = p.stats()
-	p.uvarint()
-	p.durability(&got)
-	p.pruning(&got)
-	p.readAmp(&got)
-	if err := p.indexStats(&got); err != nil {
-		t.Fatal(err)
-	}
-	if got.SeriesCount != 99 {
-		t.Fatalf("v6 decode lost SeriesCount: %+v", got)
 	}
 }

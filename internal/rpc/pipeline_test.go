@@ -91,8 +91,8 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PipelinedConns < 1 || st.LegacyConns != 0 {
-		t.Fatalf("conn counters: pipelined=%d legacy=%d", st.PipelinedConns, st.LegacyConns)
+	if st.PipelinedConns < 1 {
+		t.Fatalf("conn counters: pipelined=%d", st.PipelinedConns)
 	}
 	if st.IngestEnqueued == 0 {
 		t.Fatalf("pipelined ops bypassed the dispatch queue")
@@ -287,7 +287,7 @@ func TestIdleSweepClosesIdleConns(t *testing.T) {
 
 	// A raw handshaken connection left idle gets hung up on.
 	conn, br, bw := rawDial(t, addr)
-	hello := append(append([]byte(nil), protocolMagic[:]...), ProtocolVersion)
+	hello := helloPayload(ProtocolVersion)
 	if status, _ := rawCall(t, br, bw, OpHello, hello); status != StatusOK {
 		t.Fatal("handshake refused")
 	}
@@ -447,7 +447,7 @@ func TestStalledWriterDoesNotWedgePool(t *testing.T) {
 	}
 
 	deaf, br, bw := rawDial(t, addr)
-	hello := append(append([]byte(nil), protocolMagic[:]...), ProtocolVersion)
+	hello := helloPayload(ProtocolVersion)
 	if status, _ := rawCall(t, br, bw, OpHello, hello); status != StatusOK {
 		t.Fatal("handshake refused")
 	}

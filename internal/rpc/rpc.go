@@ -1,80 +1,39 @@
 // Package rpc provides the client/server wire layer that lets the
 // benchmark drive the storage engine over TCP, the way IoTDB-benchmark
 // drives an IoTDB server (Section VI-A2). The protocol is a minimal
-// length-prefixed binary framing:
+// length-prefixed binary framing.
 //
-//	request:  uint32 length | byte opcode | payload
-//	response: uint32 length | byte status (0 ok, 1 error) | payload
+// Every connection starts with an untagged hello exchange:
+//
+//	request:  uint32 length | byte OpHello | magic "GTSD" | byte version
+//	response: uint32 length | byte status  | payload
+//
+// The client's first frame must be OpHello carrying the 4-byte magic
+// and its protocol version. The handshake is exact-match: the server
+// answers with its magic and version only when the client's version
+// equals its own, and the client accepts only a reply carrying its own
+// version. Either side refuses a mismatch with an error naming both
+// versions and drops the connection. The hello keeps the untagged
+// shape so that a peer of any version can still decode the refusal.
+//
+// Every frame after the hello is tagged:
+//
+//	request:  uint32 length | byte opcode | uint32 tag | payload
+//	response: uint32 length | byte status | uint32 tag | payload
+//
+// The length covers the kind byte, the tag and the payload. The tag
+// is chosen by the client and echoed by the server, so many requests
+// can be pipelined on one connection and answered out of order.
+// Status is StatusOK, StatusError (the payload is the error text) or
+// StatusOverloaded (the server's bounded dispatch queue was full, the
+// request was NOT executed, and the payload carries a uvarint
+// retry-after hint in milliseconds).
 //
 // Payloads use uvarint-prefixed strings, varint timestamps and
-// little-endian float64 values. One connection carries one
-// request/response exchange at a time; clients open several
-// connections for concurrency.
-//
-// Every connection starts with a handshake: the client's first frame
-// must be OpHello carrying the 4-byte magic and its protocol version;
-// the server verifies the magic and replies with its own. A
-// mixed-version or non-protocol peer therefore fails on the first
-// exchange with a descriptive error instead of misparsing later
-// frames. Version history:
-//
-//	1 — original framing (no handshake; OpStats carries the flat
-//	    engine stats block only)
-//	2 — handshake required; OpStats appends a per-shard extension:
-//	    uvarint shard count followed by that many stats blocks
-//	3 — OpStats appends a durability extension after the per-shard
-//	    blocks: one durability block (WAL syncs, WAL commits,
-//	    quarantined files, recovered WAL batches — all varints) for
-//	    the aggregate, then one per shard
-//	4 — OpStats appends a pruning extension after the durability
-//	    blocks: one pruning block (chunks answered from statistics,
-//	    chunks decoded, points that skipped decoding — all varints)
-//	    for the aggregate, then one per shard
-//	5 — OpStats appends a read-amplification/compaction extension after
-//	    the pruning blocks: one block (bytes read, blocks decoded,
-//	    blocks skipped, blocks answered from statistics, compaction
-//	    passes, compaction bytes read, max single-pass bytes,
-//	    partitions dropped, partitions active — all varints) for the
-//	    aggregate, then one per shard
-//	6 — OpStats appends a label-index extension after the
-//	    read-amplification blocks: one block (series count, label
-//	    pairs, postings entries, matcher resolutions, selector
-//	    queries, fan-out series, max fan-out width — all varints) for
-//	    the aggregate, then one per shard (per-shard blocks are zeros:
-//	    the inverted series index is store-level)
-//	7 — tagged frames: when BOTH peers announce version >= 7 in the
-//	    handshake, every frame after the hello exchange carries a
-//	    4-byte little-endian tag between the kind byte and the
-//	    payload:
-//
-//	    request:  uint32 length | byte opcode | uint32 tag | payload
-//	    response: uint32 length | byte status | uint32 tag | payload
-//
-//	    The tag is chosen by the client and echoed by the server, so
-//	    many requests can be pipelined on one connection and answered
-//	    out of order. A mixed-version pair (either side <= 6) keeps
-//	    the untagged framing and one-in-flight semantics — the
-//	    handshake itself is always untagged. Version 7 also adds
-//	    response status 2 ("overloaded"): the server's bounded
-//	    dispatch queue was full, the request was NOT executed, and
-//	    the payload carries a uvarint retry-after hint in
-//	    milliseconds. Finally, OpStats appends an ingest-front-end
-//	    extension after the label-index blocks: one block (queue
-//	    capacity, queue depth, workers, ops enqueued, ops rejected,
-//	    pipelined connections, legacy connections — all varints) for
-//	    the aggregate, then one per shard (per-shard blocks are
-//	    zeros: the dispatch queue is server-level).
-//	8 — OpStats appends an adaptive-sort extension after the ingest
-//	    blocks: one block (enabled flag, sketch-seeded flushes, search
-//	    iterations saved, fixed-L sorts, seeded sorts, flat routes,
-//	    interface routes, min chosen L, max chosen L — all varints)
-//	    for the aggregate, then one per shard. Framing is unchanged:
-//	    tagged frames still require only min(client, server) >= 7.
-//
-// Extensions are strictly trailing, so a newer client reads an older
-// payload by what remains: the per-shard, durability, pruning,
-// read-amplification, label-index, ingest and adaptive-sort
-// extensions are each detected by remaining payload bytes.
+// little-endian float64 values. The one exception is the OpStats
+// reply: the JSON encoding of the aggregate engine.Stats and the
+// per-shard breakdown, the same struct the HTTP gateway serves on
+// GET /stats, so a new Stats field travels without a protocol change.
 package rpc
 
 import (
@@ -83,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -93,7 +53,7 @@ const (
 	OpInsert byte = 1 // sensor, n, n*(varint delta-less time, float64)
 	OpQuery  byte = 2 // sensor, minT, maxT -> n, n*(time, value)
 	OpLatest byte = 3 // sensor -> bool, time
-	OpStats  byte = 4 // -> stats block [+ uvarint shard count, shard stats blocks]
+	OpStats  byte = 4 // -> JSON statsPayload
 	OpFlush  byte = 5 // force flush
 	OpWait   byte = 6 // wait for in-flight background flushes
 	OpAgg    byte = 7 // sensor, startT, endT, window, agg -> windows
@@ -101,30 +61,45 @@ const (
 )
 
 // ProtocolVersion is the version byte this build speaks. Bump it when
-// the wire format changes shape; the handshake surfaces the mismatch.
-const ProtocolVersion = 8
+// the wire format changes shape; the handshake refuses any peer that
+// speaks another version.
+const ProtocolVersion = 9
 
-// Response status bytes. Versions <= 6 know only OK and Error;
-// StatusOverloaded is only ever sent on a version-7 tagged connection
-// (legacy connections dispatch inline and cannot overload the queue).
+// Response status bytes.
 const (
 	StatusOK         byte = 0
 	StatusError      byte = 1
 	StatusOverloaded byte = 2
 )
 
-// pipelineVersion is the first protocol version speaking tagged
-// frames; a connection runs tagged iff min(client, server) >= this.
-const pipelineVersion = 7
-
 // protocolMagic opens every handshake payload. Four printable bytes so
 // an accidental connection from an unrelated protocol is rejected with
 // a clear error rather than a frame-length explosion.
 var protocolMagic = [4]byte{'G', 'T', 'S', 'D'}
 
+// helloPayload is the OpHello payload and the server's reply to it:
+// the magic, then a protocol version.
+func helloPayload(version byte) []byte {
+	return append(append([]byte(nil), protocolMagic[:]...), version)
+}
+
+// helloFrameLen is the length of a hello frame: kind byte, magic and
+// version. The server reads a connection's first frame with this
+// limit, so a peer cannot make it allocate before the handshake.
+const helloFrameLen = uint32(1 + len(protocolMagic) + 1)
+
 // MaxFrame bounds a frame to keep a malformed peer from forcing a
 // giant allocation. 16 MiB fits > one million points per batch.
 const MaxFrame = 16 << 20
+
+// smallFrame is the largest frame body read into one exact allocation
+// made before its bytes arrive. Larger bodies grow their buffer as
+// bytes arrive, so a header that claims MaxFrame and is followed by
+// nothing costs the server no more than this.
+const smallFrame = 64 << 10
+
+// errFrameLength reports a length prefix outside the reader's bounds.
+var errFrameLength = errors.New("rpc: invalid frame length")
 
 // ErrRemote wraps an error string returned by the server.
 var ErrRemote = errors.New("rpc: remote error")
@@ -151,7 +126,14 @@ func (e *OverloadedError) Error() string {
 // Unwrap makes errors.Is(err, ErrOverloaded) hold.
 func (e *OverloadedError) Unwrap() error { return ErrOverloaded }
 
-// writeFrame sends one length-prefixed frame.
+// statsPayload is the OpStats reply. Shards is empty against a bare
+// engine.
+type statsPayload struct {
+	Total  engine.Stats   `json:"total"`
+	Shards []engine.Stats `json:"shards"`
+}
+
+// writeFrame sends one untagged (hello) frame.
 func writeFrame(w io.Writer, kind byte, payload []byte) error {
 	var hdr [5]byte
 	if len(payload)+1 > MaxFrame {
@@ -166,25 +148,19 @@ func writeFrame(w io.Writer, kind byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, returning its kind byte and payload.
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > MaxFrame {
-		return 0, nil, fmt.Errorf("rpc: invalid frame length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+// readFrame reads one untagged (hello) frame of at most limit bytes,
+// returning its kind byte and payload. A length prefix out of bounds
+// fails with errFrameLength before any body byte is read.
+func readFrame(r io.Reader, limit uint32) (byte, []byte, error) {
+	buf, err := readBody(r, 1, limit)
+	if err != nil {
 		return 0, nil, err
 	}
 	return buf[0], buf[1:], nil
 }
 
-// writeTaggedFrame sends one version-7 tagged frame: kind byte, then a
-// 4-byte little-endian tag, then the payload.
+// writeTaggedFrame sends one tagged frame: kind byte, then a 4-byte
+// little-endian tag, then the payload.
 func writeTaggedFrame(w io.Writer, kind byte, tag uint32, payload []byte) error {
 	if len(payload)+5 > MaxFrame {
 		return fmt.Errorf("rpc: frame too large: %d", len(payload))
@@ -215,19 +191,49 @@ func appendTaggedFrame(b []byte, kind byte, tag uint32, payload []byte) ([]byte,
 // readTaggedFrame reads one tagged frame, returning its kind byte, tag
 // and payload.
 func readTaggedFrame(r io.Reader) (byte, uint32, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n < 5 || n > MaxFrame {
-		return 0, 0, nil, fmt.Errorf("rpc: invalid tagged frame length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readBody(r, 5, MaxFrame)
+	if err != nil {
 		return 0, 0, nil, err
 	}
 	return buf[0], binary.LittleEndian.Uint32(buf[1:5]), buf[5:], nil
+}
+
+// readBody reads a frame's length prefix, checks it against
+// [minLen, limit] and reads the body it announces. A body up to
+// smallFrame gets one exact allocation; a larger one grows its buffer
+// only as bytes arrive, so the allocation tracks what the peer has
+// actually sent rather than what its header claims.
+func readBody(r io.Reader, minLen, limit uint32) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n < minLen || n > limit {
+		return nil, fmt.Errorf("%w %d", errFrameLength, n)
+	}
+	if n <= smallFrame {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	buf := make([]byte, 0, smallFrame)
+	for len(buf) < int(n) {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(len(buf), int(n)-len(buf)))
+		}
+		m, err := r.Read(buf[len(buf):min(cap(buf), int(n))])
+		buf = buf[:len(buf)+m]
+		if err != nil && len(buf) < int(n) {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // encodeOverloadPayload/decodeOverloadPayload carry the retry-after
@@ -285,7 +291,9 @@ func (p *payloadReader) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if p.pos+int(n) > len(p.b) {
+	// Compare in uint64: a length of 2^63 or more would turn negative
+	// as an int and slip past the bounds check.
+	if n > uint64(len(p.b)-p.pos) {
 		return "", io.ErrUnexpectedEOF
 	}
 	s := string(p.b[p.pos : p.pos+int(n)])
@@ -300,322 +308,4 @@ func (p *payloadReader) float64() (float64, error) {
 	v := math.Float64frombits(binary.LittleEndian.Uint64(p.b[p.pos:]))
 	p.pos += 8
 	return v, nil
-}
-
-// remaining reports how many undecoded payload bytes are left.
-func (p *payloadReader) remaining() int { return len(p.b) - p.pos }
-
-// appendStats encodes one engine stats snapshot. The field order is
-// the version-1 OpStats payload and must never change — version-2
-// payloads repeat the same block per shard after the aggregate.
-func appendStats(b []byte, st engine.Stats) []byte {
-	b = binary.AppendVarint(b, int64(st.FlushCount))
-	b = appendFloat64(b, st.AvgFlushMillis)
-	b = appendFloat64(b, st.AvgSortMillis)
-	b = binary.AppendVarint(b, st.SeqPoints)
-	b = binary.AppendVarint(b, st.UnseqPoints)
-	b = binary.AppendVarint(b, int64(st.Files))
-	b = binary.AppendVarint(b, int64(st.MemTablePoints))
-	b = binary.AppendVarint(b, int64(st.FlushWorkers))
-	b = binary.AppendVarint(b, st.SortsSkipped)
-	b = binary.AppendVarint(b, st.LockWaits)
-	b = binary.AppendVarint(b, st.QueriesBlocked)
-	b = appendFloat64(b, st.AvgEncodeMillis)
-	b = appendFloat64(b, st.AvgWriteMillis)
-	b = appendFloat64(b, st.AvgLockWaitMicros)
-	b = appendFloat64(b, st.MaxLockWaitMicros)
-	b = appendFloat64(b, st.P99LockWaitMicros)
-	b = binary.AppendVarint(b, st.FlatSorts)
-	b = binary.AppendVarint(b, st.InterfaceSorts)
-	b = appendFloat64(b, st.FlatSortMillis)
-	b = appendFloat64(b, st.InterfaceSortMillis)
-	b = binary.AppendVarint(b, int64(st.SortParallelism))
-	b = binary.AppendVarint(b, int64(st.FlatSortThreshold))
-	return b
-}
-
-// stats decodes one engine stats block (the inverse of appendStats).
-func (p *payloadReader) stats() (engine.Stats, error) {
-	var st engine.Stats
-	for _, dst := range []*int{&st.FlushCount} {
-		v, err := p.varint()
-		if err != nil {
-			return st, err
-		}
-		*dst = int(v)
-	}
-	var err error
-	if st.AvgFlushMillis, err = p.float64(); err != nil {
-		return st, err
-	}
-	if st.AvgSortMillis, err = p.float64(); err != nil {
-		return st, err
-	}
-	if st.SeqPoints, err = p.varint(); err != nil {
-		return st, err
-	}
-	if st.UnseqPoints, err = p.varint(); err != nil {
-		return st, err
-	}
-	for _, dst := range []*int{&st.Files, &st.MemTablePoints, &st.FlushWorkers} {
-		v, err := p.varint()
-		if err != nil {
-			return st, err
-		}
-		*dst = int(v)
-	}
-	if st.SortsSkipped, err = p.varint(); err != nil {
-		return st, err
-	}
-	if st.LockWaits, err = p.varint(); err != nil {
-		return st, err
-	}
-	if st.QueriesBlocked, err = p.varint(); err != nil {
-		return st, err
-	}
-	for _, dst := range []*float64{
-		&st.AvgEncodeMillis, &st.AvgWriteMillis,
-		&st.AvgLockWaitMicros, &st.MaxLockWaitMicros, &st.P99LockWaitMicros,
-	} {
-		if *dst, err = p.float64(); err != nil {
-			return st, err
-		}
-	}
-	if st.FlatSorts, err = p.varint(); err != nil {
-		return st, err
-	}
-	if st.InterfaceSorts, err = p.varint(); err != nil {
-		return st, err
-	}
-	if st.FlatSortMillis, err = p.float64(); err != nil {
-		return st, err
-	}
-	if st.InterfaceSortMillis, err = p.float64(); err != nil {
-		return st, err
-	}
-	for _, dst := range []*int{&st.SortParallelism, &st.FlatSortThreshold} {
-		v, err := p.varint()
-		if err != nil {
-			return st, err
-		}
-		*dst = int(v)
-	}
-	return st, nil
-}
-
-// appendDurability encodes the version-3 durability counters for one
-// stats snapshot. The block trails the per-shard extension so that
-// version-2 clients (which stop reading after the shard blocks) are
-// unaffected.
-func appendDurability(b []byte, st engine.Stats) []byte {
-	b = binary.AppendVarint(b, st.WALSyncs)
-	b = binary.AppendVarint(b, st.WALCommits)
-	b = binary.AppendVarint(b, int64(st.QuarantinedFiles))
-	b = binary.AppendVarint(b, st.RecoveredWALBatches)
-	return b
-}
-
-// durability decodes one durability block into st (the inverse of
-// appendDurability).
-func (p *payloadReader) durability(st *engine.Stats) error {
-	var err error
-	if st.WALSyncs, err = p.varint(); err != nil {
-		return err
-	}
-	if st.WALCommits, err = p.varint(); err != nil {
-		return err
-	}
-	v, err := p.varint()
-	if err != nil {
-		return err
-	}
-	st.QuarantinedFiles = int(v)
-	st.RecoveredWALBatches, err = p.varint()
-	return err
-}
-
-// appendPruning encodes the version-4 aggregation-pushdown counters
-// for one stats snapshot. The block trails the durability extension so
-// older clients, which stop reading earlier, are unaffected.
-func appendPruning(b []byte, st engine.Stats) []byte {
-	b = binary.AppendVarint(b, st.ChunksFromStats)
-	b = binary.AppendVarint(b, st.ChunksDecoded)
-	b = binary.AppendVarint(b, st.PointsSkipped)
-	return b
-}
-
-// pruning decodes one pruning block into st (the inverse of
-// appendPruning).
-func (p *payloadReader) pruning(st *engine.Stats) error {
-	var err error
-	if st.ChunksFromStats, err = p.varint(); err != nil {
-		return err
-	}
-	if st.ChunksDecoded, err = p.varint(); err != nil {
-		return err
-	}
-	st.PointsSkipped, err = p.varint()
-	return err
-}
-
-// appendReadAmp encodes the version-5 read-amplification and
-// compaction counters for one stats snapshot. The block trails the
-// pruning extension so older clients, which stop reading earlier, are
-// unaffected.
-func appendReadAmp(b []byte, st engine.Stats) []byte {
-	b = binary.AppendVarint(b, st.BytesRead)
-	b = binary.AppendVarint(b, st.BlocksDecoded)
-	b = binary.AppendVarint(b, st.BlocksSkipped)
-	b = binary.AppendVarint(b, st.BlocksFromStats)
-	b = binary.AppendVarint(b, st.CompactionPasses)
-	b = binary.AppendVarint(b, st.CompactionBytesRead)
-	b = binary.AppendVarint(b, st.MaxCompactionPassBytes)
-	b = binary.AppendVarint(b, st.PartitionsDropped)
-	b = binary.AppendVarint(b, int64(st.PartitionsActive))
-	return b
-}
-
-// appendIndexStats encodes the version-6 label-index counters for one
-// stats snapshot. The block trails the read-amplification extension so
-// older clients, which stop reading earlier, are unaffected.
-func appendIndexStats(b []byte, st engine.Stats) []byte {
-	b = binary.AppendVarint(b, int64(st.SeriesCount))
-	b = binary.AppendVarint(b, int64(st.LabelPairs))
-	b = binary.AppendVarint(b, st.PostingsEntries)
-	b = binary.AppendVarint(b, st.MatcherResolutions)
-	b = binary.AppendVarint(b, st.SelectorQueries)
-	b = binary.AppendVarint(b, st.FanoutSeries)
-	b = binary.AppendVarint(b, int64(st.MaxFanoutWidth))
-	return b
-}
-
-// indexStats decodes one label-index block into st (the inverse of
-// appendIndexStats).
-func (p *payloadReader) indexStats(st *engine.Stats) error {
-	v, err := p.varint()
-	if err != nil {
-		return err
-	}
-	st.SeriesCount = int(v)
-	if v, err = p.varint(); err != nil {
-		return err
-	}
-	st.LabelPairs = int(v)
-	if st.PostingsEntries, err = p.varint(); err != nil {
-		return err
-	}
-	if st.MatcherResolutions, err = p.varint(); err != nil {
-		return err
-	}
-	if st.SelectorQueries, err = p.varint(); err != nil {
-		return err
-	}
-	if st.FanoutSeries, err = p.varint(); err != nil {
-		return err
-	}
-	if v, err = p.varint(); err != nil {
-		return err
-	}
-	st.MaxFanoutWidth = int(v)
-	return nil
-}
-
-// appendIngestStats encodes the version-7 ingest-front-end counters
-// for one stats snapshot. The block trails the label-index extension
-// so older clients, which stop reading earlier, are unaffected.
-func appendIngestStats(b []byte, st engine.Stats) []byte {
-	b = binary.AppendVarint(b, int64(st.IngestQueueCap))
-	b = binary.AppendVarint(b, int64(st.IngestQueueDepth))
-	b = binary.AppendVarint(b, int64(st.IngestWorkers))
-	b = binary.AppendVarint(b, st.IngestEnqueued)
-	b = binary.AppendVarint(b, st.IngestRejected)
-	b = binary.AppendVarint(b, st.PipelinedConns)
-	b = binary.AppendVarint(b, st.LegacyConns)
-	return b
-}
-
-// appendAdaptiveStats encodes the version-8 adaptive-sort counters for
-// one stats snapshot. The block trails the ingest extension so older
-// clients, which stop reading earlier, are unaffected.
-func appendAdaptiveStats(b []byte, st engine.Stats) []byte {
-	var enabled int64
-	if st.AdaptiveSortEnabled {
-		enabled = 1
-	}
-	b = binary.AppendVarint(b, enabled)
-	b = binary.AppendVarint(b, st.SketchSeededFlushes)
-	b = binary.AppendVarint(b, st.SearchItersSaved)
-	b = binary.AppendVarint(b, st.AdaptiveFixedSorts)
-	b = binary.AppendVarint(b, st.AdaptiveSeededSorts)
-	b = binary.AppendVarint(b, st.AdaptiveFlatRoutes)
-	b = binary.AppendVarint(b, st.AdaptiveIfaceRoutes)
-	b = binary.AppendVarint(b, st.AdaptiveMinL)
-	b = binary.AppendVarint(b, st.AdaptiveMaxL)
-	return b
-}
-
-// adaptiveStats decodes one adaptive-sort block into st (the inverse
-// of appendAdaptiveStats).
-func (p *payloadReader) adaptiveStats(st *engine.Stats) error {
-	enabled, err := p.varint()
-	if err != nil {
-		return err
-	}
-	st.AdaptiveSortEnabled = enabled != 0
-	for _, dst := range []*int64{
-		&st.SketchSeededFlushes, &st.SearchItersSaved,
-		&st.AdaptiveFixedSorts, &st.AdaptiveSeededSorts,
-		&st.AdaptiveFlatRoutes, &st.AdaptiveIfaceRoutes,
-		&st.AdaptiveMinL, &st.AdaptiveMaxL,
-	} {
-		if *dst, err = p.varint(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ingestStats decodes one ingest-front-end block into st (the inverse
-// of appendIngestStats).
-func (p *payloadReader) ingestStats(st *engine.Stats) error {
-	for _, dst := range []*int{&st.IngestQueueCap, &st.IngestQueueDepth, &st.IngestWorkers} {
-		v, err := p.varint()
-		if err != nil {
-			return err
-		}
-		*dst = int(v)
-	}
-	var err error
-	if st.IngestEnqueued, err = p.varint(); err != nil {
-		return err
-	}
-	if st.IngestRejected, err = p.varint(); err != nil {
-		return err
-	}
-	if st.PipelinedConns, err = p.varint(); err != nil {
-		return err
-	}
-	st.LegacyConns, err = p.varint()
-	return err
-}
-
-// readAmp decodes one read-amplification block into st (the inverse
-// of appendReadAmp).
-func (p *payloadReader) readAmp(st *engine.Stats) error {
-	for _, dst := range []*int64{
-		&st.BytesRead, &st.BlocksDecoded, &st.BlocksSkipped, &st.BlocksFromStats,
-		&st.CompactionPasses, &st.CompactionBytesRead, &st.MaxCompactionPassBytes,
-		&st.PartitionsDropped,
-	} {
-		var err error
-		if *dst, err = p.varint(); err != nil {
-			return err
-		}
-	}
-	v, err := p.varint()
-	if err != nil {
-		return err
-	}
-	st.PartitionsActive = int(v)
-	return nil
 }

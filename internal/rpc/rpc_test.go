@@ -1,10 +1,18 @@
 package rpc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/engine"
@@ -315,4 +323,105 @@ func TestStatsSortKernelFieldsOverRPC(t *testing.T) {
 	if st2.FlatSortThreshold != -1 || st2.FlatSorts != 0 {
 		t.Fatalf("disabled kernel misreported over RPC: %+v", st2)
 	}
+}
+
+// TestFrameReadersGrowLargeBodies: bodies on both sides of smallFrame,
+// delivered in short reads, come back intact, and a body cut short is
+// an error rather than a short payload.
+func TestFrameReadersGrowLargeBodies(t *testing.T) {
+	for _, n := range []int{0, smallFrame - 5, smallFrame - 4, 3*smallFrame + 7, 1 << 20} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i * 7)
+		}
+		var buf bytes.Buffer
+		if err := writeTaggedFrame(&buf, OpInsert, 42, payload); err != nil {
+			t.Fatal(err)
+		}
+		wire := buf.Bytes()
+		op, tag, got, err := readTaggedFrame(iotest.HalfReader(bytes.NewReader(wire)))
+		if err != nil || op != OpInsert || tag != 42 || !bytes.Equal(got, payload) {
+			t.Fatalf("%d-byte payload: op %d tag %d, %d bytes back, err %v", n, op, tag, len(got), err)
+		}
+		if _, _, _, err := readTaggedFrame(bytes.NewReader(wire[:len(wire)-1])); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%d-byte payload cut by one byte: err %v, want unexpected EOF", n, err)
+		}
+	}
+}
+
+// TestSilentFramesDoNotAllocate: peers that send only a length prefix
+// claiming MaxFrame and then go silent must not make the server
+// allocate what they claim. Before the handshake such a first frame is
+// refused outright; after it, the body buffer grows only as bytes
+// arrive.
+func TestSilentFramesDoNotAllocate(t *testing.T) {
+	_, addr := startServer(t)
+	const conns = 4
+	var claim [4]byte
+	binary.LittleEndian.PutUint32(claim[:], MaxFrame)
+	hello := helloPayload(ProtocolVersion)
+
+	var handshaken []net.Conn
+	for i := 0; i < conns; i++ {
+		conn, br, bw := rawDial(t, addr)
+		if status, resp := rawCall(t, br, bw, OpHello, hello); status != StatusOK {
+			t.Fatalf("hello refused: %s", resp)
+		}
+		handshaken = append(handshaken, conn)
+	}
+	before := heapInUse()
+	for _, conn := range handshaken {
+		if _, err := conn.Write(claim[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fresh []net.Conn
+	for i := 0; i < conns; i++ {
+		conn, _, _ := rawDial(t, addr)
+		if _, err := conn.Write(claim[:]); err != nil {
+			t.Fatal(err)
+		}
+		fresh = append(fresh, conn)
+	}
+
+	// Every server reader acts on its header within milliseconds; keep
+	// sampling for a while so an allocation made on the header shows.
+	const limit = 4 << 20
+	var grown int64
+	for i := 0; i < 20; i++ {
+		grown = max(grown, heapInUse()-before)
+		if grown > limit {
+			t.Fatalf("%d silent connections claiming %d-byte frames grew the heap by %.1f MiB",
+				2*conns, MaxFrame, float64(grown)/(1<<20))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Logf("%d silent connections grew the heap by at most %.2f MiB", 2*conns, float64(grown)/(1<<20))
+
+	for _, conn := range fresh {
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var hdr [4]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			t.Fatalf("no refusal for an oversized first frame: %v", err)
+		}
+		n := binary.LittleEndian.Uint32(hdr[:])
+		if n == 0 || n > 4096 {
+			t.Fatalf("refusal frame length %d", n)
+		}
+		body := make([]byte, n)
+		if _, err := io.ReadFull(conn, body); err != nil {
+			t.Fatal(err)
+		}
+		if body[0] != StatusError || !strings.Contains(string(body[1:]), "handshake required") {
+			t.Fatalf("oversized first frame answered with status %d: %q", body[0], body[1:])
+		}
+	}
+}
+
+// heapInUse reports the live heap after a collection, in bytes.
+func heapInUse() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapInuse)
 }

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -70,12 +71,11 @@ type servConn struct {
 
 func (sc *servConn) touch() { sc.lastActive.Store(time.Now().UnixNano()) }
 
-// Server exposes a backend over TCP. Connections negotiating protocol
-// version >= 7 are multiplexed: a per-connection reader goroutine
-// feeds the bounded dispatch queue, a shared worker pool executes ops,
-// and a single per-connection writer goroutine serializes tagged
-// replies in completion order. Version <= 6 peers keep the legacy
-// one-in-flight read/dispatch/reply loop.
+// Server exposes a backend over TCP. Every connection is multiplexed
+// once its handshake passes: a per-connection reader goroutine feeds
+// the bounded dispatch queue, a shared worker pool executes ops, and a
+// single per-connection writer goroutine serializes tagged replies in
+// completion order.
 type Server struct {
 	eng Backend
 
@@ -95,7 +95,6 @@ type Server struct {
 	stopCh   chan struct{}
 
 	pipelinedConns atomic.Int64
-	legacyConns    atomic.Int64
 }
 
 // NewServer wraps a backend (an engine or a shard router).
@@ -240,35 +239,36 @@ func (s *Server) isDraining() bool {
 }
 
 // serveConn owns one connection: it runs the untagged handshake
-// exchange, then hands off to the pipelined or legacy loop depending
-// on the negotiated protocol version.
+// exchange, then hands off to the pipelined loop.
 func (s *Server) serveConn(sc *servConn) {
 	conn := sc.conn
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 1<<16)
 	bw := bufio.NewWriterSize(conn, 1<<16)
 
-	// The handshake is always untagged, whatever the versions: the
-	// client's first frame must be OpHello carrying magic + version.
+	// The client's first frame must be OpHello carrying magic +
+	// version. It is read with the hello's own length as the limit, so
+	// nothing a peer claims before the handshake makes the server
+	// allocate.
 	if s.readTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.readTimeout))
 	}
-	op, payload, err := readFrame(br)
-	if err != nil {
-		return
-	}
-	sc.touch()
+	op, payload, err := readFrame(br, helloFrameLen)
 	var resp []byte
 	var derr error
-	if op != OpHello {
-		// Pre-handshake clients would misparse newer payloads; refuse
-		// them with a message they can still decode (the untagged
-		// response framing is unchanged across versions).
+	switch {
+	case errors.Is(err, errFrameLength):
+		derr = fmt.Errorf("rpc: handshake required: server speaks protocol version %d, client's first frame is not a hello (%v)",
+			ProtocolVersion, err)
+	case err != nil:
+		return
+	case op != OpHello:
 		derr = fmt.Errorf("rpc: handshake required: server speaks protocol version %d, client sent opcode %d first (older client?)",
 			ProtocolVersion, op)
-	} else {
+	default:
 		resp, derr = s.dispatch(op, payload)
 	}
+	sc.touch()
 	status := StatusOK
 	if derr != nil {
 		status = StatusError
@@ -284,53 +284,8 @@ func (s *Server) serveConn(sc *servConn) {
 		return // failed handshake: drop the connection
 	}
 	sc.touch()
-	peerVersion := payload[4] // dispatch validated the payload shape
-	if min(peerVersion, ProtocolVersion) >= pipelineVersion {
-		s.pipelinedConns.Add(1)
-		s.servePipelined(sc, br, bw)
-	} else {
-		s.legacyConns.Add(1)
-		s.serveLegacy(sc, br, bw)
-	}
-}
-
-// serveLegacy is the version <= 6 loop: one untagged frame in, one
-// dispatched inline, one untagged reply out. Exactly the pre-v7
-// behavior, so old peers observe nothing new.
-func (s *Server) serveLegacy(sc *servConn, br *bufio.Reader, bw *bufio.Writer) {
-	conn := sc.conn
-	for {
-		if s.isDraining() {
-			return // graceful shutdown: the last exchange has completed
-		}
-		if s.readTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.readTimeout))
-		}
-		op, payload, err := readFrame(br)
-		if err != nil {
-			return // client went away, stalled past the deadline, or sent garbage
-		}
-		sc.touch()
-		sc.inFlight.Add(1)
-		resp, derr := s.dispatch(op, payload)
-		status := StatusOK
-		if derr != nil {
-			status = StatusError
-			resp = []byte(derr.Error())
-		}
-		if s.writeTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		}
-		err = writeFrame(bw, status, resp)
-		if err == nil {
-			err = bw.Flush()
-		}
-		sc.inFlight.Add(-1)
-		sc.touch()
-		if err != nil {
-			return
-		}
-	}
+	s.pipelinedConns.Add(1)
+	s.servePipelined(sc, br, bw)
 }
 
 // wireReply is one tagged response waiting for the writer goroutine.
@@ -340,7 +295,7 @@ type wireReply struct {
 	payload []byte
 }
 
-// servePipelined is the version-7 loop. The calling goroutine is the
+// servePipelined is the tagged-frame loop. The calling goroutine is the
 // reader: it decodes tagged frames and submits each op to the shared
 // dispatch queue, answering StatusOverloaded immediately when the
 // queue (or this connection's in-flight budget) is full. Workers
@@ -478,8 +433,9 @@ func (s *Server) sendOverload(replies chan<- wireReply, overloadOut *atomic.Int6
 }
 
 // frontendStats overlays the server-level ingest counters onto an
-// aggregate stats snapshot (the per-shard blocks stay zero, like the
-// router's label-index counters — the dispatch queue is server-wide).
+// aggregate stats snapshot (the per-shard snapshots stay zero, like
+// the router's label-index counters — the dispatch queue is
+// server-wide).
 func (s *Server) frontendStats(st *engine.Stats) {
 	if s.queue != nil {
 		qs := s.queue.Stats()
@@ -490,7 +446,6 @@ func (s *Server) frontendStats(st *engine.Stats) {
 		st.IngestRejected = qs.Rejected
 	}
 	st.PipelinedConns = s.pipelinedConns.Load()
-	st.LegacyConns = s.legacyConns.Load()
 }
 
 func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
@@ -560,58 +515,19 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 		return binary.AppendVarint(resp, t), nil
 
 	case OpStats:
-		// Aggregate stats in the version-1 block layout, then the
-		// version-2 per-shard extension (absent shards encode as 0, so
-		// clients against a bare engine see an empty breakdown), then
-		// the version-3 durability, version-4 pruning, version-5
-		// read-amplification, version-6 label-index, version-7 ingest
-		// and version-8 adaptive-sort extensions in the same
-		// aggregate-then-per-shard shape. Older clients stop reading
-		// before the extensions they do not know.
-		var resp []byte
+		// The aggregate carries the server's front-end counters; the
+		// per-shard snapshots stay as the router collected them (the
+		// dispatch queue is server-wide). A bare engine has no shards.
+		var out statsPayload
 		if sb, ok := s.eng.(shardedBackend); ok {
-			merged, per := sb.StatsAll()
-			s.frontendStats(&merged)
-			resp = appendStats(nil, merged)
-			resp = binary.AppendUvarint(resp, uint64(len(per)))
-			for _, shardStats := range per {
-				resp = appendStats(resp, shardStats)
-			}
-			resp = appendDurability(resp, merged)
-			for _, shardStats := range per {
-				resp = appendDurability(resp, shardStats)
-			}
-			resp = appendPruning(resp, merged)
-			for _, shardStats := range per {
-				resp = appendPruning(resp, shardStats)
-			}
-			resp = appendReadAmp(resp, merged)
-			for _, shardStats := range per {
-				resp = appendReadAmp(resp, shardStats)
-			}
-			resp = appendIndexStats(resp, merged)
-			for _, shardStats := range per {
-				resp = appendIndexStats(resp, shardStats)
-			}
-			resp = appendIngestStats(resp, merged)
-			for _, shardStats := range per {
-				resp = appendIngestStats(resp, shardStats)
-			}
-			resp = appendAdaptiveStats(resp, merged)
-			for _, shardStats := range per {
-				resp = appendAdaptiveStats(resp, shardStats)
-			}
+			out.Total, out.Shards = sb.StatsAll()
 		} else {
-			st := s.eng.Stats()
-			s.frontendStats(&st)
-			resp = appendStats(nil, st)
-			resp = binary.AppendUvarint(resp, 0)
-			resp = appendDurability(resp, st)
-			resp = appendPruning(resp, st)
-			resp = appendReadAmp(resp, st)
-			resp = appendIndexStats(resp, st)
-			resp = appendIngestStats(resp, st)
-			resp = appendAdaptiveStats(resp, st)
+			out.Total = s.eng.Stats()
+		}
+		s.frontendStats(&out.Total)
+		resp, err := json.Marshal(out)
+		if err != nil {
+			return nil, fmt.Errorf("rpc: encode stats: %w", err)
 		}
 		return resp, nil
 
@@ -622,11 +538,11 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 		if string(payload[:4]) != string(protocolMagic[:]) {
 			return nil, fmt.Errorf("rpc: bad handshake magic %q (not a tsdb client?)", payload[:4])
 		}
-		if payload[4] == 0 {
-			return nil, fmt.Errorf("rpc: invalid protocol version 0")
+		if payload[4] != ProtocolVersion {
+			return nil, fmt.Errorf("rpc: protocol version mismatch: client speaks %d, server speaks %d",
+				payload[4], ProtocolVersion)
 		}
-		resp := append([]byte(nil), protocolMagic[:]...)
-		return append(resp, ProtocolVersion), nil
+		return helloPayload(ProtocolVersion), nil
 
 	case OpFlush:
 		s.eng.Flush()
